@@ -251,8 +251,7 @@ func handleBundles(bc *bundleControl) http.HandlerFunc {
 			writeJSON(w, body)
 		case http.MethodPost:
 			var req bundlesRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+			if !decodeBody(w, r, maxSingleBody, &req) {
 				return
 			}
 			switch req.Action {

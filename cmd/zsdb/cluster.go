@@ -247,8 +247,7 @@ func (s *clusterServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxSingleBody, &req) {
 		return
 	}
 	if req.SQL == "" {
@@ -277,8 +276,7 @@ func (s *clusterServer) handlePredictBatch(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	var req predictBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxBatchBody, &req) {
 		return
 	}
 	if len(req.SQL) == 0 {
@@ -314,8 +312,7 @@ func (s *clusterServer) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req whatIfRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxBatchBody, &req) {
 		return
 	}
 	if len(req.SQL) == 0 {
@@ -344,8 +341,7 @@ func (s *clusterServer) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req feedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxSingleBody, &req) {
 		return
 	}
 	fp := req.Fingerprint

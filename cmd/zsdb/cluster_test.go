@@ -108,6 +108,15 @@ func mustUnmarshal(t *testing.T, raw json.RawMessage, v any) {
 	}
 }
 
+// TestClusterBodyCaps checks the request-body caps of the clustered
+// front end.
+func TestClusterBodyCaps(t *testing.T) {
+	router, _ := newTestRouter(t, 2, false)
+	ts := httptest.NewServer(newClusterServer(router).mux())
+	defer ts.Close()
+	checkBodyCaps(t, ts.URL)
+}
+
 // TestClusterServerEndpoints exercises the aggregating read endpoints
 // and routed feedback of the cluster front end over real sessions.
 func TestClusterServerEndpoints(t *testing.T) {

@@ -225,8 +225,7 @@ func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req feedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxSingleBody, &req) {
 		return
 	}
 	fp := req.Fingerprint
@@ -292,8 +291,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxSingleBody, &req) {
 		return
 	}
 	if req.SQL == "" {
@@ -344,14 +342,38 @@ type predictBatchResponse struct {
 // maxBatch bounds one batch request; bigger workloads should be paged.
 const maxBatch = 4096
 
+// Request-body caps, enforced while decoding so an oversized body is
+// refused before it is buffered. One statement fits far inside
+// maxSingleBody; maxBatchBody leaves maxBatch statements ~4 KiB each.
+const (
+	maxSingleBody = 1 << 20
+	maxBatchBody  = 16 << 20
+)
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// On failure it answers the request itself — 413 for an oversized body,
+// 400 for a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
+	default:
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 func (s *server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req predictBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxBatchBody, &req) {
 		return
 	}
 	if len(req.SQL) == 0 {
@@ -398,8 +420,7 @@ func (s *server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req whatIfRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxBatchBody, &req) {
 		return
 	}
 	if len(req.SQL) == 0 {

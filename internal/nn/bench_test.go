@@ -1,22 +1,38 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"github.com/zeroshot-db/zeroshot/internal/encoding"
 )
 
-func BenchmarkMatMul32x32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := NewTensor(1, 32)
-	x.XavierInit(rng)
-	w := NewTensor(32, 32)
-	w.XavierInit(rng)
-	dst := NewTensor(1, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst.Zero()
-		MatMulInto(dst, x, w)
+// BenchmarkMatMulInto times the kernel at the fused pass's shapes: one
+// plan node or a 4096-node cold batch, fed by the operator features or a
+// hidden layer, into a 32-wide layer. Half the inputs are zero, like a
+// ReLU output. GFLOP/s counts the dense 2·rows·inner·32 operations.
+func BenchmarkMatMulInto(b *testing.B) {
+	const out = 32
+	for _, rows := range []int{1, 4096} {
+		for _, inner := range []int{encoding.OpFeatDim, 32, 64} {
+			b.Run(fmt.Sprintf("%dx%dx%d", rows, inner, out), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				x := NewTensor(rows, inner)
+				x.XavierInit(rng)
+				x.ReLUInPlace()
+				w := NewTensor(inner, out)
+				w.XavierInit(rng)
+				dst := NewTensor(rows, out)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					MatMulInto(dst, x, w)
+				}
+				flops := 2 * float64(rows*inner*out) * float64(b.N)
+				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }
 

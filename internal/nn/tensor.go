@@ -118,24 +118,54 @@ func (t *Tensor) ReLUInPlace() {
 // arbitrary prior contents — each output row is zeroed before its
 // accumulation, so uninitialized scratch is a valid destination). dst
 // must be preallocated a.Rows x b.Cols.
+//
+// Zero entries of a are skipped (one-hot features and ReLU outputs are
+// mostly zero). Every output element is +0 plus the products of a row's
+// nonzero a[i,k] with b[k,j], added one at a time in ascending k: the
+// kernel only batches four nonzeros per pass so the running sum stays in
+// a register, which changes neither the addends nor their order. Each
+// product is converted explicitly, which the Go spec says forbids fusing
+// it with the add, so the rounding is the same on every architecture.
 func MatMulInto(dst, a, b *Tensor) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d @ %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range drow {
-			drow[j] = 0
-		}
+		drow := dst.Data[i*n : (i+1)*n]
+		clear(drow)
+		var nz [4]int // pending nonzero columns of arow, ascending
+		m := 0
 		for k, av := range arow {
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			nz[m] = k
+			if m++; m < 4 {
+				continue
+			}
+			m = 0
+			a0, a1, a2, a3 := arow[nz[0]], arow[nz[1]], arow[nz[2]], arow[nz[3]]
+			b0 := b.Data[nz[0]*n:][:len(drow)]
+			b1 := b.Data[nz[1]*n:][:len(drow)]
+			b2 := b.Data[nz[2]*n:][:len(drow)]
+			b3 := b.Data[nz[3]*n:][:len(drow)]
+			for j := range drow {
+				d := drow[j]
+				d += float64(a0 * b0[j])
+				d += float64(a1 * b1[j])
+				d += float64(a2 * b2[j])
+				d += float64(a3 * b3[j])
+				drow[j] = d
+			}
+		}
+		for _, k := range nz[:m] {
+			av := arow[k]
+			brow := b.Data[k*n:][:len(drow)]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float64(av * bv)
 			}
 		}
 	}

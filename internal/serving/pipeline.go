@@ -103,21 +103,23 @@ func newDBSession(name string, db *storage.Database, cacheSize int) *dbSession {
 // ctx error is returned bare (not wrapped in ErrBadQuery — the statement
 // was fine, the client gave up).
 func (d *dbSession) prepare(ctx context.Context, sql string) (costmodel.PlanInput, bool, string, error) {
-	return d.prepareTraced(ctx, sql, nil)
+	fp := costmodel.Fingerprint(sql)
+	in, cached, err := d.prepareTraced(ctx, sql, fp, nil)
+	return in, cached, fp, err
 }
 
-// prepareTraced is prepare with an optional sampled trace: each executed
-// stage records a span alongside its latency observation (tr is usually
-// nil — span recording is nil-safe and free).
-func (d *dbSession) prepareTraced(ctx context.Context, sql string, tr *obs.Trace) (costmodel.PlanInput, bool, string, error) {
-	fp := costmodel.Fingerprint(sql)
+// prepareTraced is prepare for a statement already fingerprinted (fp),
+// with an optional sampled trace: each executed stage records a span
+// alongside its latency observation (tr is usually nil — span recording
+// is nil-safe and free).
+func (d *dbSession) prepareTraced(ctx context.Context, sql, fp string, tr *obs.Trace) (costmodel.PlanInput, bool, error) {
 	if in, ok := d.cache.Get(fp); ok {
-		return in, true, fp, nil
+		return in, true, nil
 	}
 	pq := &pipelineQuery{sql: sql}
 	for _, s := range prepareStages {
 		if err := ctx.Err(); err != nil {
-			return costmodel.PlanInput{}, false, fp, err
+			return costmodel.PlanInput{}, false, err
 		}
 		start := time.Now()
 		err := s.fn(d, pq)
@@ -126,11 +128,45 @@ func (d *dbSession) prepareTraced(ctx context.Context, sql string, tr *obs.Trace
 		if err != nil {
 			// Both the stage's own error and ErrBadQuery stay in the
 			// chain, so callers can match either.
-			return costmodel.PlanInput{}, false, fp, fmt.Errorf("%s: %w: %w", s.name, err, ErrBadQuery)
+			return costmodel.PlanInput{}, false, fmt.Errorf("%s: %w: %w", s.name, err, ErrBadQuery)
 		}
 	}
 	d.cache.Put(fp, pq.in)
-	return pq.in, false, fp, nil
+	return pq.in, false, nil
+}
+
+// prepareBatch prepares many statements across the cores, with the
+// outcome a one-at-a-time prepare loop would give: ins[i] and errs[i]
+// belong to sqls[i]. A statement repeated within the batch (by
+// fingerprint) is parsed and planned once, by its first occurrence, and
+// every repeat shares that PlanInput, so the encoder dedups them as
+// well. Each repeat still makes the plan-cache lookup the serial loop
+// would have made — a hit behind a prepared first occurrence, a miss
+// behind a failed one — so the cache's hit and miss counts match it.
+func (d *dbSession) prepareBatch(ctx context.Context, sqls []string) ([]costmodel.PlanInput, []error) {
+	fps := make([]string, len(sqls))
+	parallelEach(len(sqls), func(i int) { fps[i] = costmodel.Fingerprint(sqls[i]) })
+	first := make(map[string]int, len(sqls)) // fingerprint -> first occurrence
+	var firsts []int
+	for i, fp := range fps {
+		if _, ok := first[fp]; !ok {
+			first[fp] = i
+			firsts = append(firsts, i)
+		}
+	}
+	ins := make([]costmodel.PlanInput, len(sqls))
+	errs := make([]error, len(sqls))
+	parallelEach(len(firsts), func(j int) {
+		i := firsts[j]
+		ins[i], _, errs[i] = d.prepareTraced(ctx, sqls[i], fps[i], nil)
+	})
+	for i, fp := range fps {
+		if f := first[fp]; f != i {
+			d.cache.Get(fp) // the serial loop's lookup, for the counts
+			ins[i], errs[i] = ins[f], errs[f]
+		}
+	}
+	return ins, errs
 }
 
 // parseStage resolves the SQL text against the database's schema.

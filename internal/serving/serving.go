@@ -52,8 +52,9 @@ func canceled(err error) bool {
 }
 
 // parallelEach runs fn(i) for every i in [0, n) across min(GOMAXPROCS,
-// n) workers and waits for completion — the compensation path when a
-// shared PredictBatch aborts and the survivors re-predict individually.
+// n) workers and waits for completion — a batch's prepare stage, and the
+// compensation path when a shared PredictBatch aborts and the survivors
+// re-predict individually.
 func parallelEach(n int, fn func(int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -463,7 +464,8 @@ func (s *Session) predictTraced(ctx context.Context, dbName, model, sql string, 
 		s.errs.Inc()
 		return Prediction{}, err
 	}
-	in, cached, fp, err := d.prepareTraced(ctx, sql, tr)
+	fp := costmodel.Fingerprint(sql)
+	in, cached, err := d.prepareTraced(ctx, sql, fp, tr)
 	if err != nil {
 		if !canceled(err) {
 			s.errs.Inc()
@@ -546,8 +548,8 @@ func (s *Session) PredictBatch(ctx context.Context, dbName, model string, sqls [
 	items := make([]BatchItem, len(sqls))
 	var ins []costmodel.PlanInput
 	var idx []int // ins position -> items position
-	for i, sql := range sqls {
-		in, _, _, err := d.prepare(ctx, sql)
+	prepared, errs := d.prepareBatch(ctx, sqls)
+	for i, err := range errs {
 		if err != nil {
 			items[i].Err = err
 			if !canceled(err) {
@@ -555,7 +557,7 @@ func (s *Session) PredictBatch(ctx context.Context, dbName, model string, sqls [
 			}
 			continue
 		}
-		ins = append(ins, in)
+		ins = append(ins, prepared[i])
 		idx = append(idx, i)
 	}
 	res := BatchResult{Database: d.name, Model: est.Name(), Items: items}
