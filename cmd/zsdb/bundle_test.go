@@ -141,7 +141,7 @@ func predictRuntime(t *testing.T, sess *serving.Session, sql string) float64 {
 // serving generation.
 func TestServeBundleLifecycle(t *testing.T) {
 	sess, bc, dist := newBundleFixture(t, 1)
-	srv := newServer(sess)
+	srv := newNodeServer(t, sess, nil)
 	srv.bundles = bc
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
@@ -348,7 +348,7 @@ func TestServeBundlesDisabled(t *testing.T) {
 	}
 
 	router, _ := newTestRouter(t, 2, false)
-	cts := httptest.NewServer(newClusterServer(router).mux())
+	cts := httptest.NewServer(newRouterServer(router, nil).mux())
 	defer cts.Close()
 	resp, err = http.Get(cts.URL + "/v1/bundles")
 	if err != nil {
@@ -405,7 +405,7 @@ func TestClusterBundleConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := newClusterServer(router)
+	srv := newRouterServer(router, nil)
 	srv.bundles = bc
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()

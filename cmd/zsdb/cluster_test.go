@@ -67,10 +67,10 @@ var fixedWorkload = []struct{ db, sql string }{
 // a single session for a fixed workload — partitioning is a pure
 // routing concern, never a numeric one.
 func TestClusterEquivalentToSingleReplica(t *testing.T) {
-	single := httptest.NewServer(newServer(newTestSession(t, serving.Config{})).mux())
+	single := httptest.NewServer(newNodeServer(t, newTestSession(t, serving.Config{}), nil).mux())
 	defer single.Close()
 	router4, _ := newTestRouter(t, 4, false)
-	clustered := httptest.NewServer(newClusterServer(router4).mux())
+	clustered := httptest.NewServer(newRouterServer(router4, nil).mux())
 	defer clustered.Close()
 
 	for _, q := range fixedWorkload {
@@ -108,28 +108,11 @@ func mustUnmarshal(t *testing.T, raw json.RawMessage, v any) {
 	}
 }
 
-// TestClusterBodyCaps checks the request-body caps of the clustered
-// front end.
-func TestClusterBodyCaps(t *testing.T) {
-	router, _ := newTestRouter(t, 2, false)
-	ts := httptest.NewServer(newClusterServer(router).mux())
-	defer ts.Close()
-	checkBodyCaps(t, ts.URL)
-}
-
 // TestClusterServerEndpoints exercises the aggregating read endpoints
 // and routed feedback of the cluster front end over real sessions.
 func TestClusterServerEndpoints(t *testing.T) {
 	router, loops := newTestRouter(t, 3, true)
-	srv := newClusterServer(router)
-	srv.adaptStatus = func() map[string]adapt.Status {
-		out := make(map[string]adapt.Status, len(loops))
-		for name, loop := range loops {
-			out[name] = loop.Status()
-		}
-		return out
-	}
-	ts := httptest.NewServer(srv.mux())
+	ts := httptest.NewServer(newRouterServer(router, loops).mux())
 	defer ts.Close()
 
 	var health struct {
@@ -221,9 +204,9 @@ func TestClusterServerEndpoints(t *testing.T) {
 // two real serve processes (httptest) behind HTTP backends and a
 // routing front end. Killing one backend mid-run must cost no request.
 func TestRouteModeFailoverOverHTTP(t *testing.T) {
-	backendA := httptest.NewServer(newServer(newTestSession(t, serving.Config{})).mux())
+	backendA := httptest.NewServer(newNodeServer(t, newTestSession(t, serving.Config{}), nil).mux())
 	defer backendA.Close()
-	backendB := httptest.NewServer(newServer(newTestSession(t, serving.Config{})).mux())
+	backendB := httptest.NewServer(newNodeServer(t, newTestSession(t, serving.Config{}), nil).mux())
 	// no defer for B: the test closes it deliberately
 
 	router := cluster.NewRouter(cluster.Config{CallTimeout: 5 * time.Second})
@@ -237,7 +220,7 @@ func TestRouteModeFailoverOverHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	front := httptest.NewServer(newClusterServer(router).mux())
+	front := httptest.NewServer(newRouterServer(router, nil).mux())
 	defer front.Close()
 
 	predict := func() (int, map[string]json.RawMessage) {

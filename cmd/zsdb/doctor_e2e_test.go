@@ -49,7 +49,7 @@ func newDoctorFixture(t *testing.T) doctorFixture {
 			t.Fatal(err)
 		}
 	}
-	srv := newClusterServer(router)
+	srv := newRouterServer(router, nil)
 	srv.tracer, srv.events = tracer, events
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)

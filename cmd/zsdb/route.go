@@ -2,15 +2,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/zeroshot-db/zeroshot/internal/cluster"
@@ -95,24 +90,8 @@ func runRoute(args []string) error {
 		router.Close()
 		return fmt.Errorf("route: none of the %d backend(s) answered a health probe", len(urls))
 	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		router.Close()
-		return err
-	}
-	srv := newClusterServer(router)
+	srv := newRouterServer(router, nil)
 	srv.tracer, srv.events = tracer, events
-	httpSrv := &http.Server{
-		Handler:           srv.mux(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	fmt.Fprintf(os.Stderr, "routing over %d backend(s) (%d healthy) on %s\n", len(urls), up, ln.Addr())
-	err = serveUntilSignal(httpSrv, ln, router, sigs, *drain)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
+	banner := fmt.Sprintf("routing over %d backend(s) (%d healthy)", len(urls), up)
+	return listenAndServe(*addr, banner, srv.mux(), router, *drain)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -27,105 +28,160 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/whatif"
 )
 
-// server is the HTTP shim over a serving.Session: handlers decode JSON,
-// call the session, and map its error kinds onto status codes. All
-// serving logic — multi-database pipelines, plan caching, micro-batch
-// coalescing, metrics — lives in internal/serving; the optional online
-// adaptation loop (feedback → drift → fine-tune → hot-swap) lives in
-// internal/adapt.
+// requestAPI is what the request endpoints (/v1/predict,
+// /v1/predict_batch, /v1/whatif, /v1/feedback) call. Both front ends
+// satisfy it: a lone replica is a cluster.InProcess over its session and
+// adaptation loop, and zsdb serve -replicas N and zsdb route put a
+// cluster.Router in front of their replicas.
+type requestAPI interface {
+	Predict(ctx context.Context, db, model, sql string) (serving.Prediction, error)
+	PredictBatch(ctx context.Context, db, model string, sqls []string) (serving.BatchResult, error)
+	WhatIf(ctx context.Context, db, model string, req whatif.Request) (*whatif.Report, error)
+	Feedback(ctx context.Context, db, fingerprint string, actualSec float64) error
+}
+
+// server is the HTTP shim of zsdb serve and zsdb route: handlers decode
+// JSON, call the request API, and map its error kinds onto status codes.
+// All serving logic — multi-database pipelines, plan caching, micro-batch
+// coalescing, metrics — lives in internal/serving; routing and failover
+// live in internal/cluster; the optional online adaptation loop
+// (feedback → drift → fine-tune → hot-swap) lives in internal/adapt.
+//
+// The request endpoints are one set for every front end, so clients
+// cannot tell one replica from many. The read endpoints come in two
+// shapes (see mux): a lone replica reports its session, a router
+// aggregates across replicas and adds /v1/cluster.
 type server struct {
-	sess *serving.Session
-	// loop is the online adaptation controller; nil unless -adapt.
-	loop *adapt.Loop
-	// bundles is the model-bundle plumbing (store, publisher, this
-	// session's distributor); nil unless -bundle-dir.
+	api requestAPI
+	// Exactly one of node and router is set; it is also api.
+	node   *cluster.InProcess
+	router *cluster.Router
+	// adaptStatus returns the /v1/adapt/status body; nil when adaptation
+	// is off — and in route mode, where each serve node owns its own.
+	adaptStatus func() any
+	// bundles is the model-bundle plumbing (store, publisher, one
+	// distributor per replica); nil unless -bundle-dir — and in route
+	// mode, where each serve node owns its own store.
 	bundles *bundleControl
 	// tracer and events are the process-wide observability surfaces
-	// behind /v1/debug/traces and /v1/events (nil-safe when unwired).
+	// behind /v1/debug/traces and /v1/events (404 when unwired).
 	tracer *obs.Tracer
 	events *obs.Log
 }
 
-func newServer(sess *serving.Session) *server { return &server{sess: sess} }
+// newServer fronts a lone replica: zsdb serve without -replicas.
+func newServer(node *cluster.InProcess) *server {
+	s := &server{api: node, node: node}
+	if loop := node.Loop(); loop != nil {
+		s.adaptStatus = func() any { return loop.Status() }
+	}
+	return s
+}
 
-// mux wires the JSON API.
+// newRouterServer fronts a router: zsdb serve -replicas N over its
+// in-process replicas, or zsdb route over remote serve nodes. loops holds
+// the in-process replicas' adaptation loops by replica name.
+func newRouterServer(router *cluster.Router, loops map[string]*adapt.Loop) *server {
+	s := &server{api: router, router: router}
+	if len(loops) > 0 {
+		s.adaptStatus = func() any {
+			out := make(map[string]adapt.Status, len(loops))
+			for name, loop := range loops {
+				out[name] = loop.Status()
+			}
+			return map[string]any{"replicas": out}
+		}
+	}
+	return s
+}
+
+// mux wires the JSON API: the read set of the front end's shape, then
+// the endpoints every front end shares.
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/v1/models", s.handleModels)
-	mux.HandleFunc("/v1/databases", s.handleDatabases)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/predict", s.handlePredict)
-	mux.HandleFunc("/v1/predict_batch", s.handlePredictBatch)
-	mux.HandleFunc("/v1/whatif", s.handleWhatIf)
-	mux.HandleFunc("/v1/feedback", s.handleFeedback)
-	mux.HandleFunc("/v1/adapt/status", s.handleAdaptStatus)
-	mux.HandleFunc("/v1/bundles", s.handleBundles)
-	mux.HandleFunc("/v1/debug/traces", s.handleTraces)
-	mux.HandleFunc("/v1/events", s.handleEvents)
+	get := func(path string, h http.HandlerFunc) { mux.HandleFunc(path, only(http.MethodGet, h)) }
+	post := func(path string, h http.HandlerFunc) { mux.HandleFunc(path, only(http.MethodPost, h)) }
+	if s.router != nil {
+		get("/healthz", s.routerHealthz)
+		get("/v1/models", s.routerModels)
+		get("/v1/databases", s.routerDatabases)
+		get("/v1/stats", s.routerStats)
+		get("/v1/cluster", s.routerCluster)
+	} else {
+		get("/healthz", s.nodeHealthz)
+		get("/v1/models", s.nodeModels)
+		get("/v1/databases", s.nodeDatabases)
+		get("/v1/stats", s.nodeStats)
+	}
+	get("/v1/adapt/status", s.handleAdaptStatus)
+	get("/v1/debug/traces", handleTraces(s.tracer))
+	get("/v1/events", handleEvents(s.events))
+	post("/v1/predict", s.handlePredict)
+	post("/v1/predict_batch", s.handlePredictBatch)
+	post("/v1/whatif", s.handleWhatIf)
+	post("/v1/feedback", s.handleFeedback)
+	mux.HandleFunc("/v1/bundles", handleBundles(s.bundles))
 	return mux
 }
 
-// handleTraces and handleEvents defer to the shared handlers — the
-// fields are read per request so tests can wire them after mux().
-func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	handleTraces(s.tracer)(w, r)
-}
-
-func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	handleEvents(s.events)(w, r)
-}
-
-// handleBundles defers to the shared bundle handler — s.bundles is read
-// per request so tests can wire it after mux().
-func (s *server) handleBundles(w http.ResponseWriter, r *http.Request) {
-	handleBundles(s.bundles)(w, r)
+// only answers 405 to every method but method.
+func only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			httpError(w, http.StatusMethodNotAllowed, "%s only", method)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // httpError is the uniform JSON error envelope.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSONStatus(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // httpErrorCode is httpError plus a machine-readable "code" field, for
 // conditions remote routers must classify without parsing prose (the
 // cluster HTTP backend keys on it).
 func httpErrorCode(w http.ResponseWriter, status int, errCode, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...), "code": errCode})
+	writeJSONStatus(w, status, map[string]string{"error": fmt.Sprintf(format, args...), "code": errCode})
 }
 
-// sessionError maps a serving error kind onto its status code.
-func sessionError(w http.ResponseWriter, err error) {
+// apiError maps an error kind of the request API or a router read onto
+// its status code; cluster.HTTPBackend's statusError is the inverse.
+func apiError(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
 	switch {
-	case errors.Is(err, serving.ErrNotFound):
-		httpError(w, http.StatusNotFound, "%v", err)
+	case errors.Is(err, cluster.ErrNoFeedback):
+		// Carry the machine-readable code so a router stacked on this
+		// front end classifies the condition the same way.
+		httpErrorCode(w, http.StatusNotFound, cluster.CodeAdaptDisabled, "online adaptation is disabled (restart with -adapt): %v", err)
+		return
+	case errors.Is(err, cluster.ErrNoReplica):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, serving.ErrNotFound), errors.Is(err, adapt.ErrNoPlan):
+		status = http.StatusNotFound
 	case errors.Is(err, serving.ErrBadQuery):
-		httpError(w, http.StatusBadRequest, "%v", err)
+		status = http.StatusBadRequest
 	case errors.Is(err, serving.ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		status = http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The client gave up, not the server — keep it off the 5xx rate.
-		httpError(w, http.StatusRequestTimeout, "%v", err)
-	default:
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		status = http.StatusRequestTimeout
 	}
+	httpError(w, status, "%v", err)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
+
+func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	models, databases := s.sess.Counts()
+func (s *server) nodeHealthz(w http.ResponseWriter, r *http.Request) {
+	models, databases := s.node.Session().Counts()
 	writeJSON(w, map[string]any{
 		"status":    "ok",
 		"models":    models,
@@ -138,7 +194,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // (costmodel.BatchFuser). Generation and Swapped expose the hot-swap
 // state (each AttachModel bumps the generation), so a client can detect
 // a stale replica from this endpoint alone. All three are omitted by
-// the cluster aggregation, which only sees model names.
+// the router aggregation, which only sees model names.
 type modelInfo struct {
 	Name       string    `json:"name"`
 	Fused      bool      `json:"fused,omitempty"`
@@ -146,24 +202,21 @@ type modelInfo struct {
 	Swapped    time.Time `json:"swapped,omitzero"`
 }
 
-func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *server) nodeModels(w http.ResponseWriter, r *http.Request) {
+	sess := s.node.Session()
 	models := make([]modelInfo, 0, 4)
-	for _, name := range s.sess.Models() {
+	for _, name := range sess.Models() {
 		info := modelInfo{Name: name}
-		if est, err := s.sess.Model(name); err == nil {
+		if est, err := sess.Model(name); err == nil {
 			info.Fused = costmodel.Fused(est)
 		}
-		if gen, swapped, err := s.sess.ModelGeneration(name); err == nil {
+		if gen, swapped, err := sess.ModelGeneration(name); err == nil {
 			info.Generation = gen
 			info.Swapped = swapped
 		}
 		models = append(models, info)
 	}
-	dbs := s.sess.Databases()
+	dbs := sess.Databases()
 	names := make([]string, len(dbs))
 	for i, d := range dbs {
 		names[i] = d.Name
@@ -171,38 +224,40 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"models": models, "databases": names})
 }
 
-func (s *server) handleDatabases(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, map[string]any{"databases": s.sess.Databases()})
+func (s *server) nodeDatabases(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, map[string]any{"databases": s.node.Session().Databases()})
 }
 
-// statsResponse is the /v1/stats body: the session snapshot (uptime,
-// counters, latencies, per-model generations) plus the adaptation
-// counters when -adapt is on and the bundle distributor counters (polls,
-// activations, failures, last error) when -bundle-dir is set.
+// statsResponse is the /v1/stats body of a lone replica: the session
+// snapshot (uptime, counters, latencies, per-model generations) plus the
+// adaptation counters when -adapt is on and the bundle distributor
+// counters (polls, activations, failures, last error) when -bundle-dir
+// is set.
 type statsResponse struct {
 	serving.Stats
 	Adaptation *adapt.Status            `json:"adaptation,omitempty"`
 	Bundles    map[string]bundle.Status `json:"bundles,omitempty"`
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	resp := statsResponse{Stats: s.sess.Stats()}
-	if s.loop != nil {
-		st := s.loop.Status()
+func (s *server) nodeStats(w http.ResponseWriter, r *http.Request) {
+	resp := statsResponse{Stats: s.node.Session().Stats()}
+	if loop := s.node.Loop(); loop != nil {
+		st := loop.Status()
 		resp.Adaptation = &st
 	}
 	if s.bundles != nil {
 		resp.Bundles = s.bundles.statuses()
 	}
 	writeJSON(w, resp)
+}
+
+func (s *server) handleAdaptStatus(w http.ResponseWriter, r *http.Request) {
+	if s.adaptStatus == nil {
+		httpErrorCode(w, http.StatusNotFound, cluster.CodeAdaptDisabled,
+			"online adaptation is disabled (restart with -adapt; in route mode, query the serve nodes directly)")
+		return
+	}
+	writeJSON(w, s.adaptStatus())
 }
 
 // feedbackRequest is the /v1/feedback body: the observed runtime of an
@@ -215,15 +270,9 @@ type feedbackRequest struct {
 	ActualRuntimeSec float64 `json:"actual_runtime_sec"`
 }
 
+// handleFeedback routes an observed runtime to the replica owning the
+// database, whose plan cache retains the fingerprint's plan.
 func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if s.loop == nil {
-		httpErrorCode(w, http.StatusNotFound, cluster.CodeAdaptDisabled, "online adaptation is disabled (restart with -adapt)")
-		return
-	}
 	var req feedbackRequest
 	if !decodeBody(w, r, maxSingleBody, &req) {
 		return
@@ -240,28 +289,11 @@ func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "actual_runtime_sec must be positive")
 		return
 	}
-	if err := s.loop.Feedback(r.Context(), req.DB, fp, req.ActualRuntimeSec); err != nil {
-		switch {
-		case errors.Is(err, adapt.ErrNoPlan):
-			httpError(w, http.StatusNotFound, "%v", err)
-		default:
-			sessionError(w, err)
-		}
+	if err := s.api.Feedback(r.Context(), req.DB, fp, req.ActualRuntimeSec); err != nil {
+		apiError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"status": "accepted", "fingerprint": fp})
-}
-
-func (s *server) handleAdaptStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	if s.loop == nil {
-		httpError(w, http.StatusNotFound, "online adaptation is disabled (restart with -adapt)")
-		return
-	}
-	writeJSON(w, s.loop.Status())
 }
 
 // predictRequest is the /v1/predict body. DB and Model may be omitted
@@ -286,10 +318,6 @@ type predictResponse struct {
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req predictRequest
 	if !decodeBody(w, r, maxSingleBody, &req) {
 		return
@@ -298,9 +326,9 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "sql is required")
 		return
 	}
-	pred, err := s.sess.Predict(r.Context(), req.DB, req.Model, req.SQL)
+	pred, err := s.api.Predict(r.Context(), req.DB, req.Model, req.SQL)
 	if err != nil {
-		sessionError(w, err)
+		apiError(w, err)
 		return
 	}
 	writeJSON(w, predictResponse{
@@ -367,31 +395,32 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	return false
 }
 
-func (s *server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req predictBatchRequest
-	if !decodeBody(w, r, maxBatchBody, &req) {
-		return
-	}
-	if len(req.SQL) == 0 {
+// checkStatements answers 400 to an empty sql array or one longer than
+// maxBatch (noun names it in the reply) and reports whether sqls passed.
+func checkStatements(w http.ResponseWriter, sqls []string, noun string) bool {
+	switch {
+	case len(sqls) == 0:
 		httpError(w, http.StatusBadRequest, "sql array is required")
+	case len(sqls) > maxBatch:
+		httpError(w, http.StatusBadRequest, "%s of %d exceeds limit %d", noun, len(sqls), maxBatch)
+	default:
+		return true
+	}
+	return false
+}
+
+func (s *server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
+	var req predictBatchRequest
+	if !decodeBody(w, r, maxBatchBody, &req) || !checkStatements(w, req.SQL, "batch") {
 		return
 	}
-	if len(req.SQL) > maxBatch {
-		httpError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.SQL), maxBatch)
-		return
-	}
-	res, err := s.sess.PredictBatch(r.Context(), req.DB, req.Model, req.SQL)
+	res, err := s.api.PredictBatch(r.Context(), req.DB, req.Model, req.SQL)
 	if err != nil {
-		sessionError(w, err)
+		apiError(w, err)
 		return
 	}
-	items := res.Items
-	resp := predictBatchResponse{Model: res.Model, DB: res.Database, Results: make([]batchItemResult, len(items)), Count: len(items)}
-	for i, item := range items {
+	resp := predictBatchResponse{Model: res.Model, DB: res.Database, Results: make([]batchItemResult, len(res.Items)), Count: len(res.Items)}
+	for i, item := range res.Items {
 		if item.Err != nil {
 			resp.Results[i].Error = item.Err.Error()
 			resp.Errors++
@@ -414,30 +443,20 @@ type whatIfRequest struct {
 	MaxCandidates int      `json:"max_candidates"`
 }
 
+// handleWhatIf runs a what-if sweep on the replica owning the database,
+// like a predict — the owner's what-if caches stay hot.
 func (s *server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req whatIfRequest
-	if !decodeBody(w, r, maxBatchBody, &req) {
+	if !decodeBody(w, r, maxBatchBody, &req) || !checkStatements(w, req.SQL, "workload") {
 		return
 	}
-	if len(req.SQL) == 0 {
-		httpError(w, http.StatusBadRequest, "sql array is required")
-		return
-	}
-	if len(req.SQL) > maxBatch {
-		httpError(w, http.StatusBadRequest, "workload of %d exceeds limit %d", len(req.SQL), maxBatch)
-		return
-	}
-	rep, err := s.sess.WhatIf(r.Context(), req.DB, req.Model, whatif.Request{
+	rep, err := s.api.WhatIf(r.Context(), req.DB, req.Model, whatif.Request{
 		SQL:           req.SQL,
 		Candidates:    req.Candidates,
 		MaxCandidates: req.MaxCandidates,
 	})
 	if err != nil {
-		sessionError(w, err)
+		apiError(w, err)
 		return
 	}
 	writeJSON(w, rep)
@@ -570,10 +589,10 @@ func adaptableModel(sess *serving.Session, name string) (string, error) {
 
 // serveUntilSignal runs the HTTP server until a shutdown signal arrives,
 // then drains: stop accepting connections, let in-flight handlers finish
-// (bounded by drainTimeout), and close the backing session — or, in
-// cluster mode, the router and every replica behind it — so queued
-// micro-batches still answer before the process exits.
-func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing interface{ Close() error }, sigs <-chan os.Signal, drainTimeout time.Duration) error {
+// (bounded by drainTimeout), and close the backing replica — or the
+// router and every replica behind it — so queued micro-batches still
+// answer before the process exits.
+func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing io.Closer, sigs <-chan os.Signal, drainTimeout time.Duration) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	select {
@@ -591,6 +610,31 @@ func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing interface{ 
 	}
 }
 
+// listenAndServe is the tail zsdb serve and zsdb route share: listen on
+// addr, print "<banner> on ADDR", and serve handler until SIGINT or
+// SIGTERM drains it (see serveUntilSignal). backing is closed on every
+// path.
+func listenAndServe(addr, banner string, handler http.Handler, backing io.Closer, drainTimeout time.Duration) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		backing.Close()
+		return err
+	}
+	httpSrv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+	}
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+	fmt.Fprintf(os.Stderr, "%s on %s\n", banner, ln.Addr())
+	err = serveUntilSignal(httpSrv, ln, backing, sigs, drainTimeout)
+	if errors.Is(err, http.ErrServerClosed) {
+		return nil
+	}
+	return err
+}
+
 // adaptFlags carries the -adapt* flag values into session assembly.
 type adaptFlags struct {
 	on         bool
@@ -605,7 +649,7 @@ type adaptFlags struct {
 // newLoopFor builds and starts one session's adaptation loop per the
 // flags (nil when -adapt is off). onAccept, when non-nil, hooks the
 // accept path — the bundle publisher's entry point. origin names this
-// session in recorded events (the replica name, or "local").
+// session in recorded events (the replica name).
 func (a adaptFlags) newLoopFor(sess *serving.Session, onAccept func(context.Context, costmodel.Estimator, adapt.ShadowEval, int), origin string) (*adapt.Loop, error) {
 	if !a.on {
 		return nil, nil
@@ -629,38 +673,25 @@ func (a adaptFlags) newLoopFor(sess *serving.Session, onAccept func(context.Cont
 	return loop, nil
 }
 
-// buildReplicatedCluster assembles N mirrored in-process replicas —
-// each a full serving session over the SAME storage (per-replica
-// statistics, plan caches and schedulers; shared column data) — behind
-// a consistent-hash router. Requests for one database always land on
-// its owning replica, so plan-cache and adaptation-window locality
-// survives the fan-in, and any replica can rescue any database on
+// buildReplicas assembles n mirrored in-process replicas — each a full
+// serving session over the SAME storage (per-replica statistics, plan
+// caches and schedulers; shared column data) with its own bundle
+// distributor and adaptation loop. A lone replica is named "local",
+// several are r0, r1, ... Any replica can rescue any database on
 // failover because the mirrored attachment is total.
-func buildReplicatedCluster(cfg serving.Config, dbSpec string, dbScale float64, modelPaths string, replicas int, af adaptFlags, bf bundleFlags, rcfg cluster.Config) (*cluster.Router, map[string]*adapt.Loop, *bundleControl, error) {
-	models, err := loadModels(modelPaths)
-	if err != nil {
-		return nil, nil, nil, err
+func buildReplicas(n int, cfg serving.Config, kinds []string, dbs []*storage.Database, models []costmodel.Estimator, af adaptFlags, bc *bundleControl, poll time.Duration) ([]*cluster.InProcess, error) {
+	var nodes []*cluster.InProcess
+	fail := func(err error) ([]*cluster.InProcess, error) {
+		for _, b := range nodes {
+			b.Close()
+		}
+		return nil, err
 	}
-	// The publisher and distributors share the router's event log, so
-	// one /v1/events read shows swaps, publishes and health transitions
-	// interleaved in sequence order.
-	bc, err := bf.newControl(models, rcfg.Events)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	kinds, dbs, err := buildDatabases(dbSpec, dbScale)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	router := cluster.NewRouter(rcfg)
-	loops := map[string]*adapt.Loop{}
-	fail := func(err error) (*cluster.Router, map[string]*adapt.Loop, *bundleControl, error) {
-		bc.close()
-		router.Close()
-		return nil, nil, nil, err
-	}
-	for i := 0; i < replicas; i++ {
-		name := fmt.Sprintf("r%d", i)
+	for i := 0; i < n; i++ {
+		name := "local"
+		if n > 1 {
+			name = fmt.Sprintf("r%d", i)
+		}
 		sess, err := assembleSession(cfg, kinds, dbs, models)
 		if err != nil {
 			return fail(err)
@@ -669,7 +700,7 @@ func buildReplicatedCluster(cfg serving.Config, dbSpec string, dbScale float64, 
 		// adaptation can mark its own replica as already activated.
 		var dist *bundle.Distributor
 		if bc != nil {
-			if dist, err = bc.attach(name, sess, bf.poll); err != nil {
+			if dist, err = bc.attach(name, sess, poll); err != nil {
 				return fail(err)
 			}
 		}
@@ -677,27 +708,44 @@ func buildReplicatedCluster(cfg serving.Config, dbSpec string, dbScale float64, 
 		if err != nil {
 			return fail(err)
 		}
-		if loop != nil {
-			loops[name] = loop
-		}
 		b, err := cluster.NewInProcess(name, sess, loop)
 		if err != nil {
 			return fail(err)
 		}
-		if err := router.Register(b); err != nil {
-			return fail(err)
-		}
+		nodes = append(nodes, b)
 	}
 	if bc != nil {
 		if err := bc.seed(context.Background(), models); err != nil {
 			return fail(err)
 		}
 	}
-	for i, kind := range kinds {
-		fmt.Fprintf(os.Stderr, "attached database %s (%s, scale %g) to %d replica(s); owner %s\n",
-			kind, dbs[i].Schema.Name, dbScale, replicas, router.Owner(kind))
+	return nodes, nil
+}
+
+// newFront puts the HTTP front end over the replicas: a lone replica is
+// served directly, several sit behind a consistent-hash router. Requests
+// for one database always land on its owning replica, so plan-cache and
+// adaptation-window locality survives the fan-in. The returned closer
+// shuts down whatever the front end serves.
+func newFront(nodes []*cluster.InProcess, rcfg cluster.Config) (*server, io.Closer, error) {
+	if len(nodes) == 1 {
+		return newServer(nodes[0]), nodes[0], nil
 	}
-	return router, loops, bc, nil
+	router := cluster.NewRouter(rcfg)
+	loops := map[string]*adapt.Loop{}
+	for _, b := range nodes {
+		if err := router.Register(b); err != nil {
+			router.Close()
+			for _, b := range nodes {
+				b.Close()
+			}
+			return nil, nil, err
+		}
+		if loop := b.Loop(); loop != nil {
+			loops[b.Name()] = loop
+		}
+	}
+	return newRouterServer(router, loops), router, nil
 }
 
 // runServe loads the model files, attaches the serving databases, and
@@ -751,108 +799,50 @@ func runServe(args []string) error {
 	af := adaptFlags{on: *adaptOn, model: *adaptModel, windowSize: *adaptWindow, minSamples: *adaptMin, events: events}
 	bf := bundleFlags{dir: *bundleDir, poll: *bundlePoll, retain: *bundleRetain, model: *bundleModel}
 
-	var handler http.Handler
-	var backing interface{ Close() error }
-	var banner string
-	if *replicas > 1 {
-		router, loops, bc, err := buildReplicatedCluster(cfg, *databases, *dbScale, *modelPaths, *replicas, af, bf, cluster.Config{
-			CallTimeout:    *callTimeout,
-			MaxAttempts:    *maxAttempts,
-			HealthInterval: 2 * time.Second,
-			Tracer:         tracer,
-			Events:         events,
-		})
-		if err != nil {
-			return err
-		}
-		defer bc.close()
-		srv := newClusterServer(router)
-		srv.bundles = bc
-		srv.tracer, srv.events = tracer, events
-		if len(loops) > 0 {
-			srv.adaptStatus = func() map[string]adapt.Status {
-				out := make(map[string]adapt.Status, len(loops))
-				for name, loop := range loops {
-					out[name] = loop.Status()
-				}
-				return out
-			}
-			fmt.Fprintf(os.Stderr, "online adaptation enabled on %d replica(s) (POST /v1/feedback)\n", len(loops))
-		}
-		if bc != nil {
-			fmt.Fprintf(os.Stderr, "bundle distribution enabled: %s polled every %v by %d replica(s)\n", *bundleDir, *bundlePoll, *replicas)
-		}
-		handler = srv.mux()
-		backing = router
-		banner = fmt.Sprintf("serving %d replica(s)", *replicas)
-	} else {
-		models, err := loadModels(*modelPaths)
-		if err != nil {
-			return err
-		}
-		kinds, dbs, err := buildDatabases(*databases, *dbScale)
-		if err != nil {
-			return err
-		}
-		sess, err := assembleSession(cfg, kinds, dbs, models)
-		if err != nil {
-			return err
-		}
-		for i, kind := range kinds {
-			fmt.Fprintf(os.Stderr, "attached database %s (%s, scale %g)\n", kind, dbs[i].Schema.Name, *dbScale)
-		}
-		srv := newServer(sess)
-		srv.tracer, srv.events = tracer, events
-		bc, err := bf.newControl(models, events)
-		if err != nil {
-			return err
-		}
-		var dist *bundle.Distributor
-		if bc != nil {
-			if dist, err = bc.attach("local", sess, bf.poll); err != nil {
-				return err
-			}
-			if err := bc.seed(context.Background(), models); err != nil {
-				bc.close()
-				return err
-			}
-			defer bc.close()
-			srv.bundles = bc
-			fmt.Fprintf(os.Stderr, "bundle distribution enabled: %s polled every %v\n", *bundleDir, *bundlePoll)
-		}
-		loop, err := af.newLoopFor(sess, bc.onAccept(dist), "local")
-		if err != nil {
-			return err
-		}
-		if loop != nil {
-			// Closed after the serve loop drains; a sweep racing the session
-			// shutdown fails its AttachModel with ErrClosed and is discarded.
-			defer loop.Close()
-			srv.loop = loop
-			fmt.Fprintf(os.Stderr, "online adaptation enabled for %s (POST /v1/feedback)\n", adaptName(loop))
-		}
-		handler = srv.mux()
-		backing = sess
-		banner = fmt.Sprintf("serving %d model(s) over %d database(s)", len(sess.Models()), len(sess.Databases()))
-	}
-	ln, err := net.Listen("tcp", *addr)
+	models, err := loadModels(*modelPaths)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
+	// The publisher and distributors share the process event log, so one
+	// /v1/events read shows swaps, publishes and health transitions
+	// interleaved in sequence order.
+	bc, err := bf.newControl(models, events)
+	if err != nil {
+		return err
 	}
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	fmt.Fprintf(os.Stderr, "%s on %s\n", banner, ln.Addr())
-	err = serveUntilSignal(httpSrv, ln, backing, sigs, *drain)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
+	defer bc.close()
+	kinds, dbs, err := buildDatabases(*databases, *dbScale)
+	if err != nil {
+		return err
 	}
-	return err
+	nodes, err := buildReplicas(*replicas, cfg, kinds, dbs, models, af, bc, bf.poll)
+	if err != nil {
+		return err
+	}
+	srv, backing, err := newFront(nodes, cluster.Config{
+		CallTimeout:    *callTimeout,
+		MaxAttempts:    *maxAttempts,
+		HealthInterval: 2 * time.Second,
+		Tracer:         tracer,
+		Events:         events,
+	})
+	if err != nil {
+		return err
+	}
+	srv.bundles = bc
+	srv.tracer, srv.events = tracer, events
+	for i, kind := range kinds {
+		fmt.Fprintf(os.Stderr, "attached database %s (%s, scale %g) to %d replica(s)\n", kind, dbs[i].Schema.Name, *dbScale, len(nodes))
+	}
+	if loop := nodes[0].Loop(); loop != nil {
+		fmt.Fprintf(os.Stderr, "online adaptation enabled for %s on %d replica(s) (POST /v1/feedback)\n", loop.Status().Model, len(nodes))
+	}
+	if bc != nil {
+		fmt.Fprintf(os.Stderr, "bundle distribution enabled: %s polled every %v by %d replica(s)\n", *bundleDir, *bundlePoll, len(nodes))
+	}
+	banner := fmt.Sprintf("serving %d model(s) over %d database(s)", len(models), len(kinds))
+	if len(nodes) > 1 {
+		banner += fmt.Sprintf(" across %d replicas", len(nodes))
+	}
+	return listenAndServe(*addr, banner, srv.mux(), backing, *drain)
 }
-
-// adaptName reports the adapted model's name for the startup banner.
-func adaptName(loop *adapt.Loop) string { return loop.Status().Model }

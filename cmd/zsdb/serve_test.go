@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/zeroshot-db/zeroshot/internal/adapt"
+	"github.com/zeroshot-db/zeroshot/internal/cluster"
 	"github.com/zeroshot-db/zeroshot/internal/collect"
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
@@ -110,9 +111,20 @@ func newTestSession(t *testing.T, cfg serving.Config) *serving.Session {
 	return sess
 }
 
+// newNodeServer fronts sess the way zsdb serve fronts its lone replica;
+// loop is the session's adaptation loop, nil when the test does not adapt.
+func newNodeServer(t *testing.T, sess *serving.Session, loop *adapt.Loop) *server {
+	t.Helper()
+	node, err := cluster.NewInProcess("local", sess, loop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newServer(node)
+}
+
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(newServer(newTestSession(t, serving.Config{})).mux())
+	ts := httptest.NewServer(newNodeServer(t, newTestSession(t, serving.Config{}), nil).mux())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -318,60 +330,6 @@ func TestServePredictBatch(t *testing.T) {
 	}
 }
 
-// checkBodyCaps posts a body one byte over each capped endpoint's limit
-// and expects a 413 carrying the usual JSON error. A batch body past the
-// single-statement cap is still served.
-func checkBodyCaps(t *testing.T, base string) {
-	t.Helper()
-	post := func(path, body string) (int, map[string]json.RawMessage) {
-		t.Helper()
-		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("%s: non-JSON response: %v", path, err)
-		}
-		return resp.StatusCode, out
-	}
-	for _, c := range []struct {
-		path, open, close string
-		limit             int
-	}{
-		{"/v1/predict", `{"db":"imdb","sql":"`, `"}`, maxSingleBody},
-		{"/v1/predict_batch", `{"db":"imdb","sql":["`, `"]}`, maxBatchBody},
-		{"/v1/whatif", `{"db":"imdb","sql":["`, `"]}`, maxBatchBody},
-	} {
-		pad := strings.Repeat(" ", c.limit+1-len(c.open)-len(c.close))
-		code, out := post(c.path, c.open+pad+c.close)
-		if code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s with a %d-byte body = %d, want 413", c.path, c.limit+1, code)
-		}
-		if _, ok := out["error"]; !ok {
-			t.Fatalf("%s: 413 response missing error field: %v", c.path, out)
-		}
-	}
-	stmt := testSQL + strings.Repeat(" ", 4096)
-	sqls := make([]string, maxSingleBody/len(stmt)+1)
-	for i := range sqls {
-		sqls[i] = stmt
-	}
-	buf, err := json.Marshal(predictBatchRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: sqls})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, out := post("/v1/predict_batch", string(buf)); code != http.StatusOK {
-		t.Fatalf("%d-byte batch = %d (%v), want 200", len(buf), code, out["error"])
-	}
-}
-
-// TestServeBodyCaps checks the request-body caps of zsdb serve.
-func TestServeBodyCaps(t *testing.T) {
-	checkBodyCaps(t, newTestServer(t).URL)
-}
-
 // TestServePredictBatchPerItemErrors checks the structured error
 // contract end to end: malformed SQL and unknown tables error item by
 // item while the healthy statements still predict.
@@ -470,9 +428,7 @@ func newAdaptTestServer(t *testing.T) (*httptest.Server, *adapt.Loop) {
 		t.Fatal(err)
 	}
 	t.Cleanup(loop.Close)
-	srv := newServer(sess)
-	srv.loop = loop
-	ts := httptest.NewServer(srv.mux())
+	ts := httptest.NewServer(newNodeServer(t, sess, loop).mux())
 	t.Cleanup(ts.Close)
 	return ts, loop
 }
@@ -613,7 +569,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: newServer(sess).mux()}
+	httpSrv := &http.Server{Handler: newNodeServer(t, sess, nil).mux()}
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() { done <- serveUntilSignal(httpSrv, ln, sess, sigs, 5*time.Second) }()

@@ -48,10 +48,10 @@ func postWhatIf(t *testing.T, url string, req whatIfRequest) (*http.Response, *w
 // topologies to identical rankings — a sweep is a pure function of
 // (database, model, workload), never of where it ran.
 func TestServeWhatIf(t *testing.T) {
-	single := httptest.NewServer(newServer(newTestSession(t, serving.Config{})).mux())
+	single := httptest.NewServer(newNodeServer(t, newTestSession(t, serving.Config{}), nil).mux())
 	defer single.Close()
 	router, _ := newTestRouter(t, 3, false)
-	clustered := httptest.NewServer(newClusterServer(router).mux())
+	clustered := httptest.NewServer(newRouterServer(router, nil).mux())
 	defer clustered.Close()
 
 	req := whatIfRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: whatIfWorkload}

@@ -116,7 +116,7 @@ func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) 
 
 // statusError rebuilds the error class the remote handler flattened
 // into a status code (and optional machine-readable error code) — the
-// inverse of the serve command's sessionError.
+// inverse of the serve command's apiError.
 func statusError(code int, name, msg, errCode string) error {
 	switch code {
 	case http.StatusNotFound:

@@ -32,7 +32,7 @@ func (a *Adam) GradNorm() float64 {
 	s := 0.0
 	for _, p := range a.params {
 		for _, g := range p.Grad.Data {
-			s += g * g
+			s += float64(g * g)
 		}
 	}
 	return math.Sqrt(s)
@@ -58,8 +58,8 @@ func (a *Adam) Step(scale float64) {
 	for _, p := range a.params {
 		for i, g := range p.Grad.Data {
 			g *= inv
-			p.m.Data[i] = a.Beta1*p.m.Data[i] + (1-a.Beta1)*g
-			p.v.Data[i] = a.Beta2*p.v.Data[i] + (1-a.Beta2)*g*g
+			p.m.Data[i] = float64(a.Beta1*p.m.Data[i]) + float64((1-a.Beta1)*g)
+			p.v.Data[i] = float64(a.Beta2*p.v.Data[i]) + float64((1-a.Beta2)*g*g)
 			mHat := p.m.Data[i] / c1
 			vHat := p.v.Data[i] / c2
 			p.Val.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)

@@ -165,7 +165,7 @@ func (tp *Tape) MatMul(a, b *Var) *Var {
 			for k := 0; k < a.Val.Cols; k++ {
 				g := 0.0
 				for j := 0; j < b.Val.Cols; j++ {
-					g += out.Grad.At(i, j) * b.Val.At(k, j)
+					g += float64(out.Grad.At(i, j) * b.Val.At(k, j))
 				}
 				a.Grad.Data[i*a.Val.Cols+k] += g
 			}
@@ -174,7 +174,7 @@ func (tp *Tape) MatMul(a, b *Var) *Var {
 			for j := 0; j < b.Val.Cols; j++ {
 				g := 0.0
 				for i := 0; i < a.Val.Rows; i++ {
-					g += a.Val.At(i, k) * out.Grad.At(i, j)
+					g += float64(a.Val.At(i, k) * out.Grad.At(i, j))
 				}
 				b.Grad.Data[k*b.Val.Cols+j] += g
 			}
@@ -263,7 +263,7 @@ func (tp *Tape) ScaleVar(x *Var, s float64) *Var {
 	out.Val.Scale(s)
 	tp.backward = append(tp.backward, func() {
 		for i := range x.Grad.Data {
-			x.Grad.Data[i] += out.Grad.Data[i] * s
+			x.Grad.Data[i] += float64(out.Grad.Data[i] * s)
 		}
 	})
 	return out
@@ -277,13 +277,13 @@ func (tp *Tape) MSE(pred *Var, target *Tensor) *Var {
 	loss := 0.0
 	for i, p := range pred.Val.Data {
 		d := p - target.Data[i]
-		loss += 0.5 * d * d
+		loss += float64(0.5 * d * d)
 	}
 	out.Val.Data[0] = loss
 	tp.backward = append(tp.backward, func() {
 		g := out.Grad.Data[0]
 		for i, p := range pred.Val.Data {
-			pred.Grad.Data[i] += g * (p - target.Data[i])
+			pred.Grad.Data[i] += float64(g * (p - target.Data[i]))
 		}
 	})
 	return out
@@ -298,9 +298,9 @@ func (tp *Tape) HuberLoss(pred *Var, target *Tensor, delta float64) *Var {
 	for i, p := range pred.Val.Data {
 		d := p - target.Data[i]
 		if math.Abs(d) <= delta {
-			loss += 0.5 * d * d
+			loss += float64(0.5 * d * d)
 		} else {
-			loss += delta * (math.Abs(d) - 0.5*delta)
+			loss += float64(delta * (math.Abs(d) - float64(0.5*delta)))
 		}
 	}
 	out.Val.Data[0] = loss
@@ -310,11 +310,11 @@ func (tp *Tape) HuberLoss(pred *Var, target *Tensor, delta float64) *Var {
 			d := p - target.Data[i]
 			switch {
 			case d > delta:
-				pred.Grad.Data[i] += g * delta
+				pred.Grad.Data[i] += float64(g * delta)
 			case d < -delta:
-				pred.Grad.Data[i] -= g * delta
+				pred.Grad.Data[i] -= float64(g * delta)
 			default:
-				pred.Grad.Data[i] += g * d
+				pred.Grad.Data[i] += float64(g * d)
 			}
 		}
 	})

@@ -7,6 +7,12 @@
 // is what makes the zero-shot model possible: every query plan is a
 // different DAG, so the computation graph must be rebuilt per sample, and
 // gradients must flow through whatever structure was built.
+//
+// Every product that feeds an add is converted explicitly, as in
+// float64(a*b). The Go spec lets a compiler fuse x*y + z into one
+// multiply-add, which rounds once instead of twice; gc does so on arm64
+// and ppc64le but never on amd64. The conversion forbids the fusion, so
+// training and inference round identically on every architecture.
 package nn
 
 import (
@@ -175,7 +181,9 @@ func MatMulInto(dst, a, b *Tensor) {
 func (t *Tensor) XavierInit(rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(t.Rows+t.Cols))
 	for i := range t.Data {
-		t.Data[i] = (rng.Float64()*2 - 1) * limit
+		// rng.Float64 inlines a scaling product; rounding its result keeps
+		// gc from fusing that product into the doubling.
+		t.Data[i] = (float64(rng.Float64())*2 - 1) * limit
 	}
 }
 
@@ -183,7 +191,7 @@ func (t *Tensor) XavierInit(rng *rand.Rand) {
 func (t *Tensor) L2Norm() float64 {
 	s := 0.0
 	for _, v := range t.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

@@ -69,23 +69,43 @@ func TestSchedulerCoalesces(t *testing.T) {
 // TestSchedulerMaxBatchCap checks a full batch drains immediately at the
 // size cap instead of waiting out the deadline.
 func TestSchedulerMaxBatchCap(t *testing.T) {
-	est := &fakeEstimator{name: "fake", delay: time.Millisecond}
+	est := &fakeEstimator{name: "fake", delay: time.Millisecond, hold: make(chan struct{})}
 	const cap = 4
 	s := newScheduler(cap, time.Second) // deadline long enough to never fire
 	defer s.close()
+	q, err := s.queue(est)
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	// Arrivals are ordered, not raced: the first request drains alone and
+	// holds the drain loop inside PredictBatch until every other client
+	// is queued. A request arriving alone right after a coalesced flush
+	// would otherwise linger for the whole deadline, by design.
 	const clients = 8
 	start := time.Now()
 	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
+	send := func(c int) {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
 			if _, err := s.predictOne(context.Background(), est, schedIn(float64(c)), nil); err != nil {
 				t.Error(err)
 			}
-		}(c)
+		}()
 	}
+	waitFor := func(cond func() bool) {
+		for !cond() {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	send(0)
+	waitFor(func() bool { return est.batchCalls.Load() == 1 })
+	for c := 1; c < clients; c++ {
+		send(c)
+	}
+	waitFor(func() bool { return len(q.ch) == clients-1 })
+	close(est.hold)
 	wg.Wait()
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("burst took %v — batches waited for the deadline instead of draining at the cap", elapsed)

@@ -23,6 +23,7 @@ type fakeEstimator struct {
 	name       string
 	bias       float64                         // distinguishes model generations
 	delay      time.Duration                   // simulated per-batch inference time
+	hold       chan struct{}                   // when non-nil, PredictBatch waits until it is closed
 	poison     func(costmodel.PlanInput) error // per-input failure injection
 	batchCalls atomic.Int64
 	batchMax   atomic.Int64
@@ -53,6 +54,9 @@ func (f *fakeEstimator) PredictBatch(ctx context.Context, ins []costmodel.PlanIn
 		if int64(len(ins)) <= cur || f.batchMax.CompareAndSwap(cur, int64(len(ins))) {
 			break
 		}
+	}
+	if f.hold != nil {
+		<-f.hold
 	}
 	if f.delay > 0 {
 		time.Sleep(f.delay)
