@@ -335,7 +335,7 @@ func runTrain(args []string) error {
 	queries := fs.Int("queries", 300, "training queries per database")
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("train-workers", 0,
-		"cap the data-parallel training worker pool (0 = one per core, 1 = serial); any cap trains to bitwise-identical weights")
+		"cap the data-parallel training worker pool (0 = one per core, 1 = serial); any cap trains to bitwise-identical weights. Training-data collection always runs one database per core")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -352,13 +352,15 @@ func runTrain(args []string) error {
 	if err != nil {
 		return err
 	}
+	recs, err := collect.RunAll(corpus, func(i int) collect.Options {
+		return collect.Options{Queries: *queries, Seed: *seed + int64(i*1000)}
+	})
+	if err != nil {
+		return err
+	}
 	var samples []costmodel.Sample
 	for i, db := range corpus {
-		recs, err := collect.Run(db, collect.Options{Queries: *queries, Seed: *seed + int64(i*1000)})
-		if err != nil {
-			return err
-		}
-		samples = append(samples, costmodel.FromRecords(db, recs)...)
+		samples = append(samples, costmodel.FromRecords(db, recs[i])...)
 		fmt.Fprintf(os.Stderr, "collected %s (%d/%d)\n", db.Schema.Name, i+1, *dbs)
 	}
 	report, err := est.Fit(context.Background(), samples)

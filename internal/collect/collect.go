@@ -12,6 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/zeroshot-db/zeroshot/internal/engine"
 	"github.com/zeroshot-db/zeroshot/internal/hwsim"
@@ -115,6 +118,45 @@ func Run(db *storage.Database, opts Options) ([]Record, error) {
 	}
 	if len(out) < opts.Queries {
 		return nil, fmt.Errorf("collect: only %d of %d queries executable on %s", len(out), opts.Queries, db.Schema.Name)
+	}
+	return out, nil
+}
+
+// RunAll collects records from every database, Run on each with
+// opts(i), on at most GOMAXPROCS goroutines that each take the next
+// database as they finish the last (databases differ in size, so static
+// blocks would leave a core idle). out[i] holds database i's records,
+// exactly as a serial loop of Run calls would produce them. The returned
+// error is that of the lowest failing index, naming its database. opts
+// may be called from several goroutines at once.
+func RunAll(dbs []*storage.Database, opts func(i int) Options) ([][]Record, error) {
+	out := make([][]Record, len(dbs))
+	errs := make([]error, len(dbs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(dbs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(dbs) {
+					return
+				}
+				recs, err := Run(dbs[i], opts(i))
+				if err != nil {
+					errs[i] = fmt.Errorf("collect: database %s: %w", dbs[i].Schema.Name, err)
+					continue
+				}
+				out[i] = recs
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -1,6 +1,9 @@
 package collect
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
@@ -120,6 +123,85 @@ func TestRandomIndexesDeterministicAndProbabilistic(t *testing.T) {
 	for k := range all {
 		if k == "title.id" {
 			t.Fatal("indexed a primary key")
+		}
+	}
+}
+
+func TestRunAllMatchesSerialLoop(t *testing.T) {
+	dbs, err := datagen.TrainingCorpus(3, 1, datagen.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := func(i int) Options { return Options{Queries: 20, Seed: 1 + int64(i*1000)} }
+	want := make([][]Record, len(dbs)) // the plain loop RunAll replaces
+	for i, db := range dbs {
+		if want[i], err = Run(db, opts(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			got, err := RunAll(dbs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("got %d databases, want %d", len(got), len(want))
+			}
+			for d := range want {
+				if len(got[d]) != len(want[d]) {
+					t.Fatalf("db %d: %d records, want %d", d, len(got[d]), len(want[d]))
+				}
+				for r, w := range want[d] {
+					g := got[d][r]
+					if g.DB != w.DB || g.Query.SQL() != w.Query.SQL() || g.RuntimeSec != w.RuntimeSec ||
+						g.OptimizerCost != w.OptimizerCost || g.PeakMemBytes != w.PeakMemBytes {
+						t.Fatalf("db %d record %d differs:\n got %s %q %v %v %v\nwant %s %q %v %v %v", d, r,
+							g.DB, g.Query.SQL(), g.RuntimeSec, g.OptimizerCost, g.PeakMemBytes,
+							w.DB, w.Query.SQL(), w.RuntimeSec, w.OptimizerCost, w.PeakMemBytes)
+					}
+					var gn, wn []*plan.Node
+					g.Plan.Walk(func(n *plan.Node) { gn = append(gn, n) })
+					w.Plan.Walk(func(n *plan.Node) { wn = append(wn, n) })
+					if len(gn) != len(wn) {
+						t.Fatalf("db %d record %d: %d plan nodes, want %d", d, r, len(gn), len(wn))
+					}
+					for n := range wn {
+						if gn[n].TrueRows != wn[n].TrueRows || gn[n].Work != wn[n].Work {
+							t.Fatalf("db %d record %d node %d: rows %v work %+v, want rows %v work %+v",
+								d, r, n, gn[n].TrueRows, gn[n].Work, wn[n].TrueRows, wn[n].Work)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestRunAllReturnsLowestFailingDatabase(t *testing.T) {
+	dbs, err := datagen.TrainingCorpus(3, 1, datagen.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, bad := range [][]int{{1}, {1, 2}} {
+		recs, err := RunAll(dbs, func(i int) Options {
+			for _, b := range bad {
+				if i == b {
+					return Options{Queries: 0}
+				}
+			}
+			return Options{Queries: 5, Seed: int64(i)}
+		})
+		if err == nil {
+			t.Fatalf("bad options on %v: no error (records %d)", bad, len(recs))
+		}
+		if recs != nil {
+			t.Fatalf("bad options on %v: records returned alongside %v", bad, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, dbs[1].Schema.Name) || !strings.Contains(msg, "Queries must be positive") {
+			t.Fatalf("bad options on %v: error %q does not name %s and its cause", bad, msg, dbs[1].Schema.Name)
 		}
 	}
 }

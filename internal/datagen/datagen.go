@@ -7,6 +7,10 @@
 // schemas with different table counts, sizes, types, skew and correlation —
 // so that the model learns system behaviour rather than one database's data
 // distribution. Seeded generation keeps every experiment reproducible.
+//
+// Every product that feeds an add is written float64(a*b): the explicit
+// conversion forbids gc from fusing it into one multiply-add on arm64 and
+// ppc64le, so generated databases round the same on every architecture.
 package datagen
 
 import (
@@ -99,7 +103,7 @@ func randomSchema(name string, rng *rand.Rand, cfg Config) *schema.Schema {
 		// Row counts: referenced (dimension) tables stay small, leaf (fact)
 		// tables grow; log-uniform draw spans the configured range.
 		logMin, logMax := math.Log(float64(cfg.MinRows)), math.Log(float64(cfg.MaxRows))
-		tab.RowCount = int(math.Exp(logMin + rng.Float64()*(logMax-logMin)))
+		tab.RowCount = int(math.Exp(logMin + float64(rng.Float64()*(logMax-logMin))))
 		tab.ComputePages()
 		s.Tables = append(s.Tables, tab)
 	}
@@ -214,7 +218,7 @@ func fillValueColumn(data *storage.ColumnData, col *schema.Column, n int, rng *r
 			case kind == distZipf:
 				data.Ints[i] = int64(zipf.Uint64())
 			case kind == distNormal:
-				data.Ints[i] = int64(rng.NormFloat64()*float64(domain)/6 + float64(domain)/2)
+				data.Ints[i] = int64(float64(rng.NormFloat64()*float64(domain)/6) + float64(float64(domain)/2))
 			default:
 				data.Ints[i] = int64(rng.Intn(domain))
 			}
@@ -225,9 +229,9 @@ func fillValueColumn(data *storage.ColumnData, col *schema.Column, n int, rng *r
 		for i := range data.Floats {
 			switch {
 			case base != nil:
-				data.Floats[i] = base.AsFloat(i)*1.5 + rng.NormFloat64()*scale*0.05
+				data.Floats[i] = float64(base.AsFloat(i)*1.5) + float64(rng.NormFloat64()*scale*0.05)
 			case kind == distNormal:
-				data.Floats[i] = rng.NormFloat64()*scale + scale*2
+				data.Floats[i] = float64(rng.NormFloat64()*scale) + float64(scale*2)
 			default:
 				data.Floats[i] = rng.Float64() * scale
 			}

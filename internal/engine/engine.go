@@ -10,6 +10,10 @@
 //     simulated runtimes acting as the paper's measured query runtimes.
 //  3. It computes actual aggregate results, which the test suite verifies
 //     against brute-force evaluation — keeping the whole substrate honest.
+//
+// Every product that feeds an add is written float64(a*b): the explicit
+// conversion forbids gc from fusing it into one multiply-add on arm64 and
+// ppc64le, so the work counters round the same on every architecture.
 package engine
 
 import (
@@ -405,7 +409,7 @@ func (e *Executor) execNLJoin(n *plan.Node) (*batch, error) {
 		}
 	}
 	inner.Work = plan.Counters{
-		PagesRead:    float64(len(pages)) + lookups*float64(ix.EstimateHeight())*0.1,
+		PagesRead:    float64(len(pages)) + float64(lookups*float64(ix.EstimateHeight())*0.1),
 		TuplesIn:     entries,
 		TuplesOut:    innerOut,
 		PredEvals:    evals,

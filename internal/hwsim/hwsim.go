@@ -12,6 +12,10 @@
 // the simulator's internals — only plan features and cardinalities — so
 // runtime remains a noisy nonlinear function of quantities derivable from
 // transferable features, exactly the setting the zero-shot model exploits.
+//
+// Every product that feeds an add is written float64(a*b): the explicit
+// conversion forbids gc from fusing it into one multiply-add on arm64 and
+// ppc64le, so simulated runtimes round the same on every architecture.
 package hwsim
 
 import (
@@ -116,12 +120,12 @@ func (s *Simulator) Profile() Profile { return s.prof }
 func (p Profile) nodeTime(n *plan.Node) float64 {
 	w := n.Work
 	t := p.OperatorNS
-	t += w.TuplesIn * p.TupleNS
-	t += w.PredEvals * p.PredNS
-	t += w.IndexLookups * p.IndexDescNS
-	t += w.IndexEntries * p.IndexEntryNS
-	t += w.AggUpdates * p.AggUpdateNS
-	t += w.BytesOut * p.OutputByteNS
+	t += float64(w.TuplesIn * p.TupleNS)
+	t += float64(w.PredEvals * p.PredNS)
+	t += float64(w.IndexLookups * p.IndexDescNS)
+	t += float64(w.IndexEntries * p.IndexEntryNS)
+	t += float64(w.AggUpdates * p.AggUpdateNS)
+	t += float64(w.BytesOut * p.OutputByteNS)
 
 	// Hash operators slow down once their table spills out of cache.
 	probeNS := p.HashProbeNS
@@ -134,15 +138,15 @@ func (p Profile) nodeTime(n *plan.Node) float64 {
 		probeNS *= p.CacheMissFactor
 		buildNS *= p.CacheMissFactor
 	}
-	t += w.HashBuild * buildNS
-	t += w.HashProbes * probeNS
+	t += float64(w.HashBuild * buildNS)
+	t += float64(w.HashProbes * probeNS)
 
 	// Page reads: sequential for seq scans, random for index access.
 	pageNS := p.SeqPageNS
 	if n.Op == plan.IndexScan {
 		pageNS = p.RandPageNS
 	}
-	t += w.PagesRead * pageNS
+	t += float64(w.PagesRead * pageNS)
 	return t
 }
 
@@ -159,7 +163,7 @@ func (s *Simulator) RuntimeNoiseless(root *plan.Node) float64 {
 	// slower storage.
 	if s.prof.BufferPoolPages > 0 && totalPages > s.prof.BufferPoolPages {
 		excess := totalPages - s.prof.BufferPoolPages
-		totalNS += excess * s.prof.SeqPageNS * (s.prof.BufferMissFactor - 1)
+		totalNS += float64(excess * s.prof.SeqPageNS * (s.prof.BufferMissFactor - 1))
 	}
 	return totalNS / 1e9
 }
@@ -199,9 +203,9 @@ func PeakMemoryBytes(root *plan.Node) float64 {
 		w := math.Max(n.Width, 16)
 		switch n.Op {
 		case plan.HashJoin:
-			tables += n.Work.HashBuild * w
+			tables += float64(n.Work.HashBuild * w)
 		case plan.HashAggregate:
-			tables += n.Work.Groups * w
+			tables += float64(n.Work.Groups * w)
 		}
 		if n.Work.BytesOut > maxIntermediate {
 			maxIntermediate = n.Work.BytesOut

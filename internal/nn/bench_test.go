@@ -36,6 +36,35 @@ func BenchmarkMatMulInto(b *testing.B) {
 	}
 }
 
+// BenchmarkTapeMatMulBackward times the Tape.MatMul backward closure at
+// the training shapes: one plan-node row of operator features or of a
+// hidden layer against a 32-wide layer, half the inputs zero like a ReLU
+// output. GFLOP/s counts the dense 4·inner·32 operations of dA and dB.
+func BenchmarkTapeMatMulBackward(b *testing.B) {
+	const out = 32
+	for _, inner := range []int{encoding.OpFeatDim, 32, 64} {
+		b.Run(fmt.Sprintf("1x%dx%d", inner, out), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x := NewTensor(1, inner)
+			x.XavierInit(rng)
+			x.ReLUInPlace()
+			w := NewTensor(inner, out)
+			w.XavierInit(rng)
+			tp := NewTape()
+			y := tp.MatMul(tp.Const(x), tp.Leaf(w, NewTensor(inner, out)))
+			y.Grad.XavierInit(rng)
+			backward := tp.backward[len(tp.backward)-1]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				backward()
+			}
+			flops := 4 * float64(inner*out) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
 func BenchmarkMLPForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	mlp := NewMLP(rng, 16, 32, 32, 1)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/zeroshot-db/zeroshot/internal/encoding"
 )
 
 // matMulRef is the plain i-k-j zero-skip kernel MatMulInto replaced. It
@@ -84,6 +86,102 @@ func TestMatMulIntoBitwiseEqualsReference(t *testing.T) {
 				t.Fatalf("case %d (%dx%d @ %dx%d, zeros %.0f%%, special %v): elem %d = %v (%#x), reference %v (%#x)",
 					c, rows, inner, inner, cols, zeroFrac*100, special, i,
 					g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// tapeMatMulBackwardRef is the At-based backward closure Tape.MatMul
+// replaced, kept as the reference for its gradient bits: dA += dOut @ B^T
+// and dB += A^T @ dOut, each gradient element summed in one accumulator
+// from +0 and then added once.
+func tapeMatMulBackwardRef(a, b, out *Var) {
+	for i := 0; i < a.Val.Rows; i++ {
+		for k := 0; k < a.Val.Cols; k++ {
+			g := 0.0
+			for j := 0; j < b.Val.Cols; j++ {
+				g += float64(out.Grad.At(i, j) * b.Val.At(k, j))
+			}
+			a.Grad.Data[i*a.Val.Cols+k] += g
+		}
+	}
+	for k := 0; k < b.Val.Rows; k++ {
+		for j := 0; j < b.Val.Cols; j++ {
+			g := 0.0
+			for i := 0; i < a.Val.Rows; i++ {
+				g += float64(a.Val.At(i, k) * out.Grad.At(i, j))
+			}
+			b.Grad.Data[k*b.Val.Cols+j] += g
+		}
+	}
+}
+
+// TestTapeMatMulBackwardBitwiseEqualsReference pins the slice-indexed
+// MatMul backward closure to the At-based reference bit for bit at the
+// model's shapes (one-hot operator features, ReLU-sparse and dense hidden
+// rows into 32 outputs) and at a several-row product, with values of
+// both signs, signed zeros in a and dOut, and gradients that start at
+// zero or already hold values. Values are finite: the row update skips
+// a[k] == 0, which differs from the reference only where dOut holds an
+// infinity or NaN (0·Inf is NaN).
+func TestTapeMatMulBackwardBitwiseEqualsReference(t *testing.T) {
+	type shape struct {
+		name              string
+		rows, inner, cols int
+		zeroFrac          float64
+		oneHot            bool
+	}
+	shapes := []shape{
+		{"1xFx32 one-hot", 1, encoding.OpFeatDim, 32, 0, true},
+		{"1x32x32 relu", 1, 32, 32, 0.5, false},
+		{"1x64x32 dense", 1, 64, 32, 0, false},
+		{"3x5x4 rows", 3, 5, 4, 0.3, false},
+	}
+	rng := rand.New(rand.NewSource(14))
+	for _, s := range shapes {
+		for c := 0; c < 50; c++ {
+			aVal, bVal := NewTensor(s.rows, s.inner), NewTensor(s.inner, s.cols)
+			if s.oneHot {
+				aVal.Data[rng.Intn(s.inner)] = rng.NormFloat64()
+			} else {
+				fillSparse(rng, aVal, s.zeroFrac, false)
+			}
+			fillSparse(rng, bVal, 0, false)
+			// Gradient accumulators start at +0 (fresh) or hold earlier
+			// contributions; they are never -0.
+			aGrad, bGrad := NewTensor(s.rows, s.inner), NewTensor(s.inner, s.cols)
+			if c%2 == 1 {
+				for _, g := range []*Tensor{aGrad, bGrad} {
+					for i := range g.Data {
+						if rng.Intn(4) > 0 {
+							g.Data[i] = rng.NormFloat64()
+						}
+					}
+				}
+			}
+			dOut := NewTensor(s.rows, s.cols)
+			fillSparse(rng, dOut, 0.2, false)
+
+			tp := NewTape()
+			a, b := tp.Leaf(aVal, aGrad.Clone()), tp.Leaf(bVal, bGrad.Clone())
+			out := tp.MatMul(a, b)
+			copy(out.Grad.Data, dOut.Data)
+			tp.backward[len(tp.backward)-1]()
+
+			ra, rb := &Var{Val: aVal, Grad: aGrad}, &Var{Val: bVal, Grad: bGrad}
+			tapeMatMulBackwardRef(ra, rb, &Var{Val: out.Val, Grad: dOut})
+
+			for _, p := range []struct {
+				name      string
+				got, want *Tensor
+			}{{"a.Grad", a.Grad, ra.Grad}, {"b.Grad", b.Grad, rb.Grad}} {
+				for i := range p.want.Data {
+					g, w := p.got.Data[i], p.want.Data[i]
+					if math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s case %d: %s elem %d = %v (%#x), reference %v (%#x)",
+							s.name, c, p.name, i, g, math.Float64bits(g), w, math.Float64bits(w))
+					}
+				}
 			}
 		}
 	}

@@ -156,27 +156,71 @@ func (tp *Tape) ConstRow(data []float64) *Var {
 }
 
 // MatMul returns a @ b.
+//
+// The backward pass works on row slices. dA += dOut @ B^T sums each
+// gradient element in ascending j with one accumulator, as a plain dot
+// product would; four k run per pass so their sums overlap. dB += A^T @
+// dOut for a single row a (every plan-node layer) adds a[k]*dOut[j]
+// straight into dB, skipping a[k] == 0 like MatMulInto: the skipped
+// term would add +0, which leaves a gradient accumulator (never -0,
+// since it starts at +0) unchanged while every value is finite. Several
+// rows keep one accumulator per element over ascending i.
 func (tp *Tape) MatMul(a, b *Var) *Var {
 	out := tp.newVar(tp.tensor(a.Val.Rows, b.Val.Cols))
 	MatMulInto(out.Val, a.Val, b.Val)
 	tp.backward = append(tp.backward, func() {
-		// dA += dOut @ B^T ; dB += A^T @ dOut
-		for i := 0; i < a.Val.Rows; i++ {
-			for k := 0; k < a.Val.Cols; k++ {
-				g := 0.0
-				for j := 0; j < b.Val.Cols; j++ {
-					g += float64(out.Grad.At(i, j) * b.Val.At(k, j))
+		rows, inner, n := a.Val.Rows, a.Val.Cols, b.Val.Cols
+		bv, dOut := b.Val.Data, out.Grad.Data
+		for i := 0; i < rows; i++ {
+			grow := dOut[i*n : (i+1)*n]
+			dA := a.Grad.Data[i*inner : (i+1)*inner]
+			k := 0
+			for ; k+4 <= len(dA); k += 4 {
+				b0 := bv[k*n:][:len(grow)]
+				b1 := bv[(k+1)*n:][:len(grow)]
+				b2 := bv[(k+2)*n:][:len(grow)]
+				b3 := bv[(k+3)*n:][:len(grow)]
+				var g0, g1, g2, g3 float64
+				for j, d := range grow {
+					g0 += float64(d * b0[j])
+					g1 += float64(d * b1[j])
+					g2 += float64(d * b2[j])
+					g3 += float64(d * b3[j])
 				}
-				a.Grad.Data[i*a.Val.Cols+k] += g
+				dA[k] += g0
+				dA[k+1] += g1
+				dA[k+2] += g2
+				dA[k+3] += g3
+			}
+			for ; k < len(dA); k++ {
+				brow := bv[k*n:][:len(grow)]
+				g := 0.0
+				for j, d := range grow {
+					g += float64(d * brow[j])
+				}
+				dA[k] += g
 			}
 		}
-		for k := 0; k < b.Val.Rows; k++ {
-			for j := 0; j < b.Val.Cols; j++ {
-				g := 0.0
-				for i := 0; i < a.Val.Rows; i++ {
-					g += float64(a.Val.At(i, k) * out.Grad.At(i, j))
+		av, dB := a.Val.Data, b.Grad.Data
+		if rows == 1 {
+			for k, x := range av {
+				if x == 0 {
+					continue
 				}
-				b.Grad.Data[k*b.Val.Cols+j] += g
+				dBrow := dB[k*n:][:len(dOut)]
+				for j, d := range dOut {
+					dBrow[j] += float64(x * d)
+				}
+			}
+			return
+		}
+		for k := 0; k < inner; k++ {
+			for j := 0; j < n; j++ {
+				g := 0.0
+				for i := 0; i < rows; i++ {
+					g += float64(av[i*inner+k] * dOut[i*n+j])
+				}
+				dB[k*n+j] += g
 			}
 		}
 	})

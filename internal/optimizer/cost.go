@@ -7,6 +7,11 @@
 // plans, per-operator estimated cardinalities, and a total optimizer cost
 // (the input of the Scaled Optimizer Cost baseline). Hypothetical indexes
 // make the planner "what-if"-capable for the index-tuning experiment.
+//
+// Every product that feeds an add is written float64(a*b): the explicit
+// conversion forbids gc from fusing it into one multiply-add on arm64 and
+// ppc64le, so cost and cardinality estimates round the same on every
+// architecture.
 package optimizer
 
 import (
@@ -56,35 +61,35 @@ func btreeHeight(n float64) float64 {
 // costSeqScan returns the cost of scanning `pages` pages of `rows` tuples
 // and evaluating `nFilters` predicates per tuple.
 func (p CostParams) costSeqScan(pages, rows float64, nFilters int) float64 {
-	return pages*p.SeqPage + rows*p.CPUTuple + rows*float64(nFilters)*p.CPUOper
+	return float64(pages*p.SeqPage) + float64(rows*p.CPUTuple) + float64(rows*float64(nFilters)*p.CPUOper)
 }
 
 // costIndexScan returns the cost of an index range scan matching
 // `matched` of `total` entries, then applying `remFilters` residual
 // predicates per fetched row.
 func (p CostParams) costIndexScan(total, matched float64, remFilters int) float64 {
-	descent := btreeHeight(total) * p.RandomPage
-	entries := matched * p.CPUIndex
-	heap := matched * p.RandomPage * p.HeapFetchFrac
-	resid := matched * float64(remFilters) * p.CPUOper
-	return descent + entries + heap + resid + matched*p.CPUTuple
+	descent := float64(btreeHeight(total) * p.RandomPage)
+	entries := float64(matched * p.CPUIndex)
+	heap := float64(matched * p.RandomPage * p.HeapFetchFrac)
+	resid := float64(matched * float64(remFilters) * p.CPUOper)
+	return descent + entries + heap + resid + float64(matched*p.CPUTuple)
 }
 
 // costIndexLookup returns the per-execution cost of a parameterized index
 // lookup (inner side of a nested-loop join) expecting `avgMatches` matches
 // from an index of `total` entries.
 func (p CostParams) costIndexLookup(total, avgMatches float64, remFilters int) float64 {
-	descent := btreeHeight(total) * p.CPUOper * 4
-	perMatch := avgMatches * (p.CPUIndex + p.RandomPage*p.HeapFetchFrac + float64(remFilters)*p.CPUOper + p.CPUTuple)
+	descent := float64(btreeHeight(total) * p.CPUOper * 4)
+	perMatch := float64(avgMatches * (p.CPUIndex + float64(p.RandomPage*p.HeapFetchFrac) + float64(float64(remFilters)*p.CPUOper) + p.CPUTuple))
 	return descent + perMatch
 }
 
 // costHashJoin returns the cost of building on `buildRows` and probing with
 // `probeRows`, emitting `outRows`.
 func (p CostParams) costHashJoin(buildRows, probeRows, outRows float64) float64 {
-	build := buildRows * (p.CPUOper*1.5 + p.CPUTuple)
-	probe := probeRows * p.CPUOper
-	emit := outRows * p.CPUTuple
+	build := float64(buildRows * (float64(p.CPUOper*1.5) + p.CPUTuple))
+	probe := float64(probeRows * p.CPUOper)
+	emit := float64(outRows * p.CPUTuple)
 	return build + probe + emit
 }
 
@@ -94,7 +99,7 @@ func (p CostParams) costAggregate(inRows, groups float64, nAggs int) float64 {
 	if nAggs < 1 {
 		nAggs = 1
 	}
-	return inRows*float64(nAggs)*p.CPUOper + inRows*p.CPUOper + groups*p.CPUTuple
+	return float64(inRows*float64(nAggs)*p.CPUOper) + float64(inRows*p.CPUOper) + float64(groups*p.CPUTuple)
 }
 
 // TotalCost returns the plan's root cumulative cost estimate; exposed for

@@ -252,7 +252,7 @@ func (o *Optimizer) joinCandidates(q *query.Query, a, b *plan.Node, j query.Join
 		nl.Children = []*plan.Node{probe, lookup}
 		nl.EstRows = outRows
 		nl.Width = width
-		nl.EstCost = probe.EstCost + probe.EstRows*lookup.EstCost + outRows*o.params.CPUTuple
+		nl.EstCost = probe.EstCost + float64(probe.EstRows*lookup.EstCost) + float64(outRows*o.params.CPUTuple)
 		cands = append(cands, nl)
 	}
 	return cands
